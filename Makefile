@@ -2,17 +2,17 @@ GO ?= go
 
 # PR number stamped into the committed benchmark baseline (BENCH_$(BENCH_PR).json).
 BENCH_PR ?= 10
-# The key benchmarks the baseline records: the netsim hot path (serial,
-# serial with a telemetry sink attached, and sharded at 1/2/4/8 workers),
-# one Figure 4 row, the Figure 5 panel in serial and parallel variants, FIB
-# construction, paper-scale BGP convergence (full and single-link-delta),
-# and the flat-topology bake-off matrix on 1 and 16 netsim shards.
-BENCH_RE = ^(BenchmarkNetsimEvents|BenchmarkNetsimEventsTelemetry|BenchmarkNetsimEventsSharded(1|2|4|8)|BenchmarkFig4_A2A|BenchmarkFig5_SmallSU2|BenchmarkFig5_SmallSU2_Workers1|BenchmarkFig5_SmallSU2_WorkersMax|BenchmarkFibConstruction|BenchmarkBGPConvergePaperScale|BenchmarkBGPReconvergeDelta|BenchmarkBakeoffShards(1|16))$$
+# The key benchmarks the baseline records: the netsim hot path (bare and
+# with a telemetry sink attached), one Figure 4 row, the Figure 5 panel in
+# serial and parallel variants, FIB construction, paper-scale BGP
+# convergence (full and single-link-delta), and the flat-topology bake-off
+# matrix.
+BENCH_RE = ^(BenchmarkNetsimEvents|BenchmarkNetsimEventsTelemetry|BenchmarkFig4_A2A|BenchmarkFig5_SmallSU2|BenchmarkFig5_SmallSU2_Workers1|BenchmarkFig5_SmallSU2_WorkersMax|BenchmarkFibConstruction|BenchmarkBGPConvergePaperScale|BenchmarkBGPReconvergeDelta|BenchmarkBakeoff)$$
 
-.PHONY: check build test vet fmt lint race bench audit serve serve-smoke fleet-smoke bakeoff-smoke
+.PHONY: check build test vet fmt lint race bench audit serve serve-smoke bakeoff-smoke
 
 # Full verification: everything CI and the roadmap's tier-1 gate expect.
-check: build vet fmt lint race audit serve-smoke fleet-smoke bakeoff-smoke
+check: build vet fmt lint race audit serve-smoke bakeoff-smoke
 
 # Run the experiment service on localhost with a persistent result cache
 # (see DESIGN.md §10 and the README curl session).
@@ -32,17 +32,9 @@ serve-smoke:
 	$$tmp/spinelessd -smoke; \
 	rc=$$?; rm -rf $$tmp; exit $$rc
 
-# Fleet fault-tolerance proof under the race detector: a multi-process
-# worker fleet driven through kill/restart/partition/slow chaos while a
-# coordinator places jobs; every job must land with byte-identical results,
-# audits must cross workers cleanly, and overload must shed 429s before any
-# queue-full 503. See DESIGN.md §11 and cmd/fleetsmoke.
-fleet-smoke:
-	$(GO) run -race ./cmd/fleetsmoke
-
 # Flat-topology bake-off gate: the full five-fabric matrix at paper scale
-# with a tiny workload — byte-identical scorecards on 1 and 2 netsim
-# shards, no non-finite cells, and an audited De Bruijn self-routing run.
+# with a tiny workload — byte-identical scorecards on 1 and 2 cell
+# workers, no non-finite cells, and an audited De Bruijn self-routing run.
 bakeoff-smoke:
 	$(GO) run ./cmd/bakeoff -smoke >/dev/null
 

@@ -110,9 +110,9 @@ func TestDifferentialRejectsEmptyWorkload(t *testing.T) {
 }
 
 // TestDifferentialTelemetryRejected is the failing-before guard test for
-// the audit config layer: the sharded leg has no tracer slot and the
-// serial leg's slot is owned by the Auditor, so a telemetry recorder must
-// be rejected loudly in both modes rather than silently observing nothing.
+// the audit config layer: the packet leg's tracer slot is owned by the
+// Auditor, so a telemetry recorder must be rejected loudly rather than
+// silently observing nothing.
 func TestDifferentialTelemetryRejected(t *testing.T) {
 	g := topology.New("pair", 2, 6)
 	for i := 0; i < 2; i++ {
@@ -129,14 +129,8 @@ func TestDifferentialTelemetryRejected(t *testing.T) {
 		Telemetry: telemetry.NewRecorder(telemetry.Config{}),
 	}
 	if _, err := Differential(g, routing.NewECMP(g), flows, cfg); err == nil {
-		t.Fatal("Telemetry accepted on the audited serial leg")
+		t.Fatal("Telemetry accepted on the audited packet leg")
 	} else if !strings.Contains(err.Error(), "tracer slot") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-	cfg.Shards = 2
-	if _, err := Differential(g, routing.NewECMP(g), flows, cfg); err == nil {
-		t.Fatal("Shards>0 with Telemetry accepted")
-	} else if !strings.Contains(err.Error(), "serial engine") {
 		t.Fatalf("unhelpful error: %v", err)
 	}
 }

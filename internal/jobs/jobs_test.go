@@ -74,34 +74,6 @@ func TestSpecNormalizeHashStable(t *testing.T) {
 	}
 }
 
-// TestSpecHashShardExemption pins the shard-count cache exemption: every
-// positive shard count shares one key (results are shard-count-invariant),
-// but the serial engine keys separately from the sharded one.
-func TestSpecHashShardExemption(t *testing.T) {
-	base := Spec{Seed: 5}
-	h0, err := base.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded := base
-	sharded.Shards = 2
-	h2, err := sharded.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded.Shards = 8
-	h8, err := sharded.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2 != h8 {
-		t.Fatalf("shard counts fragment the cache: %s vs %s", h2, h8)
-	}
-	if h0 == h2 {
-		t.Fatal("serial and sharded engines share a cache key")
-	}
-}
-
 func TestSpecValidate(t *testing.T) {
 	bad := []Spec{
 		{Kind: "nope"},
@@ -125,7 +97,7 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestSpecValidateBakeoffFabrics pins the bake-off wiring at the fleet
+// TestSpecValidateBakeoffFabrics pins the bake-off wiring at the jobs
 // layer: the three extra flat fabrics validate and execute for fct runs
 // (all three were "unknown fabric" before the bake-off PR), an unknown name
 // is still rejected with the full menu, and live runs still accept only the
@@ -577,22 +549,14 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	}
 }
 
-// TestSpecTelemetryValidationAndHash pins the jobs-layer half of the
-// Shards+tracer guard (failing-before: Telemetry used to be silently
-// meaningless with Shards>0) and the cache-key exemption: observation
-// must not fragment the store.
+// TestSpecTelemetryValidationAndHash pins that a telemetry spec validates
+// and that the flag is exempt from the cache key: observation must not
+// fragment the store.
 func TestSpecTelemetryValidationAndHash(t *testing.T) {
 	sp := tinySpec()
 	sp.Telemetry = true
-	sp.Shards = 2
-	if err := sp.Normalized().Validate(); err == nil {
-		t.Fatal("telemetry+shards validated — the recorder would observe nothing")
-	} else if !strings.Contains(err.Error(), "serial engine") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-	sp.Shards = 0
 	if err := sp.Normalized().Validate(); err != nil {
-		t.Fatalf("telemetry on the serial engine rejected: %v", err)
+		t.Fatalf("telemetry spec rejected: %v", err)
 	}
 
 	plain := tinySpec()
@@ -671,32 +635,5 @@ func TestTelemetryJobPublishesOnHub(t *testing.T) {
 	}
 	if _, cached, err := m.Submit(tinySpec()); err != nil || !cached {
 		t.Fatalf("unobserved resubmit: cached=%v err=%v", cached, err)
-	}
-}
-
-// TestShardedJobResultIsCached is the failing-before regression for the
-// hash-preimage store bug: runJob used to commit the submitted spec, whose
-// Shards field does not survive the hash exemption, so store.Put's
-// spec-hashes-to-key check failed and sharded results were silently never
-// cached.
-func TestShardedJobResultIsCached(t *testing.T) {
-	m := newTestManager(t, Config{QueueDepth: 4, Executors: 1, TrialWorkers: 1})
-	sp := tinySpec()
-	sp.Shards = 2
-	j, cached, err := m.Submit(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached {
-		t.Fatal("fresh sharded job served from cache")
-	}
-	waitTerminal(t, j)
-	if st := j.Status(); st.State != StateDone {
-		t.Fatalf("job ended %s (%s)", st.State, st.Error)
-	}
-	// Any positive shard count shares the entry.
-	sp.Shards = 4
-	if _, cached, err := m.Submit(sp); err != nil || !cached {
-		t.Fatalf("sharded resubmit: cached=%v err=%v", cached, err)
 	}
 }

@@ -82,37 +82,30 @@ func TestLiveTelemetryDropSeriesMatchesTransient(t *testing.T) {
 	}
 }
 
-// TestLiveTelemetryShardsRejected is the failing-before guard test for the
-// resilience Live path.
+// TestLiveTelemetryShardsRejected guards the resilience Live path: Audit
+// and Telemetry both need the simulator's single tracer slot, so asking for
+// both is an error. (The Shards knob this test once also covered is gone
+// with the sharded engine.)
 func TestLiveTelemetryShardsRejected(t *testing.T) {
 	g := ringFabric(t)
 	cfg := liveTestConfig()
-	cfg.Shards = 2
+	cfg.Audit = true
 	cfg.Telemetry = telemetry.NewRecorder(telemetry.Config{})
 	if _, err := RunLive(g, cfg); err == nil {
-		t.Fatal("Shards>0 with Telemetry accepted — the tracer would be silently ignored")
-	} else if !strings.Contains(err.Error(), "serial engine") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-	cfg.Shards = 0
-	cfg.Audit = true
-	if _, err := RunLive(g, cfg); err == nil {
 		t.Fatal("Audit+Telemetry accepted")
+	} else if !strings.Contains(err.Error(), "tracer slot") {
+		t.Fatalf("unhelpful error: %v", err)
 	}
 }
 
-// TestStudyTelemetryShardsRejected covers the Study sweep layer.
+// TestStudyTelemetryShardsRejected covers the same guard in the Study sweep
+// layer.
 func TestStudyTelemetryShardsRejected(t *testing.T) {
 	g := ringFabric(t)
 	cfg := DefaultStudyConfig()
 	cfg.Flows = 50
-	cfg.Shards = 2
-	cfg.Telemetry = telemetry.NewRecorder(telemetry.Config{})
-	if _, err := Study(g, cfg); err == nil {
-		t.Fatal("Shards>0 with Telemetry accepted in Study")
-	}
-	cfg.Shards = 0
 	cfg.Audit = true
+	cfg.Telemetry = telemetry.NewRecorder(telemetry.Config{})
 	if _, err := Study(g, cfg); err == nil {
 		t.Fatal("Audit+Telemetry accepted in Study")
 	}

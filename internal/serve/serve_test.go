@@ -222,6 +222,29 @@ func TestSubmitErrors(t *testing.T) {
 	}
 }
 
+// TestLegacyShardsSpecRejected: a client still sending the retired
+// "shards" engine knob gets a 400 from strict decoding, not a silent run on
+// an engine it did not ask for.
+func TestLegacyShardsSpecRejected(t *testing.T) {
+	ts, m := testServer(t, jobs.Config{QueueDepth: 4, Executors: 1})
+	legacy := strings.Replace(tinySpecJSON, `"seed":1`, `"seed":1,"shards":2`, 1)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var er errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, `unknown field "shards"`) {
+		t.Fatalf("legacy shards spec: status %d, error %q", resp.StatusCode, er.Error)
+	}
+	if n := m.Snapshot().Submitted; n != 0 {
+		t.Fatalf("rejected spec reached the job queue (%d submitted)", n)
+	}
+}
+
 func TestQueueFullMapsTo503(t *testing.T) {
 	ts, m := testServer(t, jobs.Config{QueueDepth: 1, Executors: 1})
 	// Slow specs (many trials) so neither job finishes during the test.
@@ -592,13 +615,6 @@ func TestTelemetryStreamAndHeatmap(t *testing.T) {
 	var fr TelemetryFrame
 	if err := json.Unmarshal(bytes.TrimSpace(body), &fr); err != nil {
 		t.Fatalf("one-frame body %q: %v", body, err)
-	}
-
-	// Rejecting a sharded telemetry spec is the serve-visible half of the
-	// config-layer guard.
-	shardSpec := strings.Replace(telemetrySpec(2), `"seed":1`, `"seed":1,"shards":2`, 1)
-	if code, _ := postSpec(t, ts, shardSpec); code != http.StatusBadRequest {
-		t.Fatalf("telemetry+shards spec accepted with status %d", code)
 	}
 
 	m.Cancel(sub.Job)
