@@ -171,6 +171,7 @@ type Manager struct {
 	mu          sync.Mutex
 	seq         int
 	jobs        map[string]*Job
+	retired     []string        // terminal job IDs in settle order, oldest first
 	inflight    map[string]*Job // pending/running jobs by spec hash (singleflight)
 	auditActive bool
 	submitted   uint64
@@ -189,6 +190,12 @@ type Manager struct {
 	latCount    uint64
 	latSumMS    float64
 }
+
+// maxRetainedJobs bounds the terminal jobs the manager remembers: past it
+// the oldest terminal job is forgotten, and its ID answers like an unknown
+// one. Pending and running jobs are never forgotten. Without the bound a
+// long-lived server's job table grows with every request.
+const maxRetainedJobs = 1024
 
 // New builds a Manager over st (which may be nil: every submission then
 // runs fresh and nothing is cached) and starts its executors.
@@ -261,6 +268,7 @@ func (m *Manager) Submit(sp Spec) (*Job, bool, error) {
 			m.hits++
 			m.terminals[StateDone]++
 			m.jobs[j.ID] = j
+			m.retireLocked(j.ID)
 			hitNo := m.hits
 			m.mu.Unlock()
 			m.logf("job %s: cache hit for %s", j.ID, shortHash(hash))
@@ -299,24 +307,34 @@ func (m *Manager) Submit(sp Spec) (*Job, bool, error) {
 		m.drainM.Unlock()
 		return nil, false, ErrDraining
 	}
+	// Register the job under m.mu before an executor can settle it, so
+	// settleLocked always finds it in the job table and singleflight set.
+	m.mu.Lock()
 	select {
 	case m.queue <- j:
+		m.submitted++
+		m.jobs[j.ID] = j
+		m.inflight[hash] = j
+		m.mu.Unlock()
 		m.drainM.Unlock()
 	default:
-		m.drainM.Unlock()
-		m.mu.Lock()
 		m.rejected++
 		m.mu.Unlock()
+		m.drainM.Unlock()
 		return nil, false, ErrQueueFull
 	}
-
-	m.mu.Lock()
-	m.submitted++
-	m.jobs[j.ID] = j
-	m.inflight[hash] = j
-	m.mu.Unlock()
 	m.logf("job %s: queued %s kind=%s", j.ID, shortHash(hash), sp.Kind)
 	return j, false, nil
+}
+
+// retireLocked records that job id reached a terminal state and forgets
+// the oldest terminal jobs beyond maxRetainedJobs. Callers hold m.mu.
+func (m *Manager) retireLocked(id string) {
+	m.retired = append(m.retired, id)
+	for len(m.retired) > maxRetainedJobs {
+		delete(m.jobs, m.retired[0])
+		m.retired = m.retired[1:]
+	}
 }
 
 // shedOne counts and logs one shed submission.
@@ -351,7 +369,8 @@ func totalTrials(sp Spec) int {
 	return 1
 }
 
-// Get returns a job by ID.
+// Get returns a job by ID. A terminal job evicted by the maxRetainedJobs
+// bound is reported unknown, like an ID that was never issued.
 func (m *Manager) Get(id string) (*Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -783,5 +802,6 @@ func (j *Job) settleLocked(st State, result json.RawMessage, errMsg string) {
 		delete(m.inflight, j.Hash)
 	}
 	m.terminals[st]++
+	m.retireLocked(j.ID)
 	m.mu.Unlock()
 }

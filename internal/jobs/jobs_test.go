@@ -637,3 +637,93 @@ func TestTelemetryJobPublishesOnHub(t *testing.T) {
 		t.Fatalf("unobserved resubmit: cached=%v err=%v", cached, err)
 	}
 }
+
+// TestJobTableRetention pins the job-table bound: past maxRetainedJobs
+// terminal jobs the oldest is forgotten first (Get reports it unknown,
+// exactly like an ID never issued), in-flight jobs are never evicted, and
+// the Snapshot tallies still count every job ever settled.
+func TestJobTableRetention(t *testing.T) {
+	m := newTestManager(t, Config{QueueDepth: 4, Executors: 1})
+	first, _, err := m.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, first)
+
+	slow := tinySpec()
+	slow.Trials = 500
+	slow.Seed = 10
+	running, _, err := m.Submit(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pend := tinySpec()
+	pend.Seed = 11
+	pending, _, err := m.Submit(pend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for running.State() == StatePending && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+
+	const extra = 50
+	var hits []*Job
+	for i := 0; i < maxRetainedJobs+extra; i++ {
+		j, cached, err := m.Submit(tinySpec())
+		if err != nil || !cached {
+			t.Fatalf("hit %d: cached=%v err=%v", i, cached, err)
+		}
+		hits = append(hits, j)
+	}
+
+	known := func(j *Job) bool {
+		_, ok := m.Get(j.ID)
+		return ok
+	}
+	// Settle order: first, then hits[0..]; the oldest extra+1 are gone.
+	if known(first) || known(hits[extra-1]) {
+		t.Fatal("oldest terminal jobs were not evicted")
+	}
+	if !known(hits[extra]) || !known(hits[len(hits)-1]) {
+		t.Fatal("a job inside the retention window was evicted")
+	}
+	if !known(running) || !known(pending) {
+		t.Fatal("an in-flight job was evicted")
+	}
+	if st := running.State(); st != StateRunning {
+		t.Fatalf("slow job state %s, want running", st)
+	}
+	snap := m.Snapshot()
+	if got, want := snap.ByState[StateDone], uint64(1+maxRetainedJobs+extra); got != want {
+		t.Fatalf("done tally %d, want %d (evictions must not drop tallies)", got, want)
+	}
+	if snap.ByState[StateRunning] != 1 || snap.ByState[StatePending] != 1 {
+		t.Fatalf("in-flight tallies %v, want 1 running and 1 pending", snap.ByState)
+	}
+
+	// Once settled, the in-flight jobs are the newest terminal ones: they
+	// stay, and the next two oldest hits make room for them.
+	for _, j := range []*Job{pending, running} {
+		if !m.Cancel(j.ID) {
+			t.Fatalf("cancel %s failed", j.ID)
+		}
+		waitTerminal(t, j)
+	}
+	if !known(running) || !known(pending) {
+		t.Fatal("a just-settled job was evicted")
+	}
+	if known(hits[extra]) || known(hits[extra+1]) || !known(hits[extra+2]) {
+		t.Fatal("settling the in-flight jobs did not evict the next-oldest hits in order")
+	}
+	m.mu.Lock()
+	n := len(m.jobs)
+	m.mu.Unlock()
+	if n != maxRetainedJobs {
+		t.Fatalf("job table holds %d jobs, want %d", n, maxRetainedJobs)
+	}
+	if got := m.Snapshot().ByState[StateCancelled]; got != 2 {
+		t.Fatalf("cancelled tally %d, want 2", got)
+	}
+}

@@ -11,22 +11,100 @@ const (
 )
 
 // event is one scheduled occurrence. seq breaks time ties so the event
-// order (and hence the whole simulation) is deterministic.
+// order (and hence the whole simulation) is deterministic. The struct is
+// pointer-free (pkt is an index into the packet store), so moving events
+// through the queue costs no GC write barriers.
 type event struct {
-	t     int64
-	seq   uint64
-	kind  uint8
-	idx   int32
-	epoch uint64
-	pkt   *packet
+	t    int64
+	seq  uint64
+	idx  int32
+	pkt  int32
+	kind uint8
 }
 
-// eventHeap is a binary min-heap ordered by (t, seq). A hand-rolled heap
-// avoids container/heap's interface boxing on the simulator's hottest path.
-type eventHeap []event
+// eventQueue pops events in exact (t, seq) order. It merges a small
+// binary heap with one FIFO lane per fixed delay d: events pushed d after
+// a non-decreasing clock, with increasing seq, arrive already sorted, so a
+// lane's head is its minimum and pushing costs O(1). Only events whose
+// delay matches no lane (flow starts, faults, reroutes, backed-off RTOs,
+// partial segments, degraded-rate transmissions) pay for the heap.
+type eventQueue struct {
+	lanes []lane
+	heap  []event
+	n     int
+}
+
+// lane is a growable ring buffer of events that share one delay.
+type lane struct {
+	d    int64
+	buf  []event // len is a power of two
+	head int
+	n    int
+}
+
+// laneInitSlots is the initial ring size of a lane; lanes double on
+// demand. The MinRTO lane instead starts at two slots per flow: every ACK
+// re-arms its flow's timer MinRTO ahead, so that lane holds far more
+// pending (mostly stale) timers than the others.
+const laneInitSlots = 64
+
+// initQueue sizes the event queue for a run of nFlows flows: a heap with
+// room for every flow start, and one lane per distinct delay most events
+// are scheduled after — the link and host propagation delays, the minimum
+// RTO, and the serialization times of a full segment and an ACK at link
+// and host rate.
+func (s *Simulator) initQueue(nFlows int) {
+	c := s.cfg
+	rto := int64(c.MinRTO)
+	netLink := link{bytesPerNS: c.LinkRateBps / 8 / 1e9}
+	hostLink := link{bytesPerNS: c.hostRate() / 8 / 1e9}
+	seg, ack := int32(c.MSS+c.HeaderBytes), int32(c.AckBytes)
+	delays := [...]int64{c.LinkDelayNS, c.hostDelay(), rto,
+		netLink.txTimeNS(seg), netLink.txTimeNS(ack), hostLink.txTimeNS(seg), hostLink.txTimeNS(ack)}
+	q := &s.events
+	q.heap = make([]event, 0, nFlows+64)
+	q.lanes = make([]lane, 0, len(delays))
+	for _, d := range delays {
+		if q.lane(d) != nil {
+			continue
+		}
+		n := laneInitSlots
+		for d == rto && n < 2*nFlows {
+			n *= 2
+		}
+		q.lanes = append(q.lanes, lane{d: d, buf: make([]event, n)})
+	}
+}
+
+// lane returns the lane for delay d, or nil when d has none.
+func (q *eventQueue) lane(d int64) *lane {
+	for i := range q.lanes {
+		if q.lanes[i].d == d {
+			return &q.lanes[i]
+		}
+	}
+	return nil
+}
 
 //lint:hotpath
-func heapPush(h *eventHeap, ev event) {
+func (l *lane) push(ev event) {
+	if l.n == len(l.buf) {
+		l.grow()
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ev
+	l.n++
+}
+
+// grow doubles the ring, unrolling it so the head lands at slot 0.
+func (l *lane) grow() {
+	buf := make([]event, 2*len(l.buf)) //lint:allow hotpath (ring growth: doubling, amortized away)
+	k := copy(buf, l.buf[l.head:])
+	copy(buf[k:], l.buf[:l.head])
+	l.buf, l.head = buf, 0
+}
+
+//lint:hotpath
+func heapPush(h *[]event, ev event) {
 	*h = append(*h, ev)
 	i := len(*h) - 1
 	for i > 0 {
@@ -40,11 +118,10 @@ func heapPush(h *eventHeap, ev event) {
 }
 
 //lint:hotpath
-func heapPop(h *eventHeap) event {
+func heapPop(h *[]event) event {
 	top := (*h)[0]
 	last := len(*h) - 1
 	(*h)[0] = (*h)[last]
-	(*h)[last] = event{} // release pkt pointer
 	*h = (*h)[:last]
 	i := 0
 	for {
@@ -65,15 +142,62 @@ func heapPop(h *eventHeap) event {
 	return top
 }
 
+// push schedules ev at its absolute time ev.t on the heap.
+//
 //lint:hotpath
 func (s *Simulator) push(ev event) {
 	ev.seq = s.nextSeq()
-	heapPush(&s.events, ev)
+	heapPush(&s.events.heap, ev)
+	s.events.n++
 }
 
+// pushAfter schedules ev d nanoseconds from now and returns its seq. It
+// appends to the lane for d when there is one, so the order is the same
+// as if every event went through the heap.
+//
+//lint:hotpath
+func (s *Simulator) pushAfter(d int64, ev event) uint64 {
+	ev.t = s.now + d
+	ev.seq = s.nextSeq()
+	q := &s.events
+	q.n++
+	if l := q.lane(d); l != nil {
+		l.push(ev)
+	} else {
+		heapPush(&q.heap, ev)
+	}
+	return ev.seq
+}
+
+// pop removes and returns the (t, seq)-smallest pending event among the
+// lane heads and the heap top. The queue must not be empty.
+//
 //lint:hotpath
 func (s *Simulator) pop() event {
-	return heapPop(&s.events)
+	q := &s.events
+	q.n--
+	best := -1 // lane index; -1 is the heap
+	have := len(q.heap) > 0
+	var top event
+	if have {
+		top = q.heap[0]
+	}
+	for i := range q.lanes {
+		l := &q.lanes[i]
+		if l.n == 0 {
+			continue
+		}
+		if h := l.buf[l.head]; !have || less(h, top) {
+			top, best, have = h, i, true
+		}
+	}
+	if best < 0 {
+		return heapPop(&q.heap)
+	}
+	l := &q.lanes[best]
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	return top
 }
 
 func less(a, b event) bool {

@@ -3,14 +3,15 @@ package netsim
 // packet is one frame in flight. Packets are pooled; never retain one after
 // handing it back to the simulator.
 type packet struct {
+	id       int32 // index in the simulator's packet store
 	flow     int32
 	hop      int32
 	wireSize int32 // bytes on the wire
+	payload  int32 // data bytes carried (0 for ACKs)
 	isAck    bool
 	ce       bool  // data: congestion-experienced mark; ack: echoed mark
 	pooled   bool  // in the free pool — set by free, cleared by alloc
 	seq      int64 // data: first payload byte; ack: cumulative ack
-	payload  int32 // data bytes carried (0 for ACKs)
 	echo     int64 // data: send timestamp; ack: echoed timestamp
 	links    []int32
 	qnext    *packet // intrusive link-FIFO chain; nil when not queued

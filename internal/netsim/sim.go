@@ -48,15 +48,17 @@ type Simulator struct {
 	flows []flowState
 	done  int
 
-	events     eventHeap
+	events     eventQueue
 	seqCounter uint64
 	now        int64
 
-	// Free packets are handed out from pool; refills come from poolChunk,
-	// a block allocation that amortizes one heap object over many packets.
-	pool      []*packet
-	poolChunk []packet
-	poolNext  int
+	// pkts is the packet store: packet id lives at
+	// pkts[id/poolChunkSize][id%poolChunkSize], so events carry an int32
+	// id instead of a pointer. Free packets are handed out from pool;
+	// refills carve the next id, adding a chunk when the last one is full.
+	pkts  [][]packet
+	pool  []*packet
+	nPkts int32
 
 	// arena backs expandPath's per-flow link-id slices.
 	arena     []int32
@@ -141,7 +143,7 @@ type flowState struct {
 	recover        int64
 	srtt, rttvar   float64 // ns
 	rto            int64   // ns
-	rtoEpoch       uint64
+	rtoSeq         uint64  // seq of the live RTO event; older firings are stale
 
 	// DCTCP state (ECN configs only).
 	alpha       float64
@@ -241,7 +243,7 @@ func (s *Simulator) Run(flows []workload.Flow) (Results, error) {
 		}
 	}
 	s.flows = make([]flowState, len(flows))
-	s.events = make(eventHeap, 0, 4*len(flows)+64)
+	s.initQueue(len(flows))
 	for i, f := range flows {
 		s.flows[i].spec = f
 		s.flows[i].fct = -1
@@ -256,7 +258,7 @@ func (s *Simulator) Run(flows []workload.Flow) (Results, error) {
 		}
 	}
 	maxT := int64(s.cfg.MaxSimTime)
-	for len(s.events) > 0 && s.done < len(s.flows) {
+	for s.events.n > 0 && s.done < len(s.flows) {
 		ev := s.pop()
 		if ev.t > maxT {
 			break
@@ -270,11 +272,11 @@ func (s *Simulator) Run(flows []workload.Flow) (Results, error) {
 		case evStart:
 			s.startFlow(ev.idx)
 		case evTxDone:
-			s.txDone(ev.idx, ev.pkt)
+			s.txDone(ev.idx, s.packet(ev.pkt))
 		case evDeliver:
-			s.deliver(ev.pkt)
+			s.deliver(s.packet(ev.pkt))
 		case evRTO:
-			s.timeout(ev.idx, ev.epoch)
+			s.timeout(ev.idx, ev.seq)
 		case evFault:
 			s.applyDueFaults()
 		case evReroute:
@@ -466,7 +468,7 @@ func (s *Simulator) enterLink(p *packet) {
 			s.tracer.OnEnqueue(s.now, id, p.flow, int(p.hop), p.isAck, p.wireSize, l.queueBytes, l.qCount)
 			s.tracer.OnTxStart(s.now, id, p.flow, p.isAck, p.wireSize)
 		}
-		s.push(event{t: s.now + l.txTimeNS(p.wireSize), kind: evTxDone, idx: id, pkt: p})
+		s.pushAfter(l.txTimeNS(p.wireSize), event{kind: evTxDone, idx: id, pkt: p.id})
 		return
 	}
 	if !l.push(p) {
@@ -498,13 +500,13 @@ func (s *Simulator) txDone(linkID int32, p *packet) {
 		return
 	}
 	l.txBytes += uint64(p.wireSize)
-	s.push(event{t: s.now + l.delayNS, kind: evDeliver, pkt: p})
+	s.pushAfter(l.delayNS, event{kind: evDeliver, pkt: p.id})
 	if l.queued() > 0 {
 		next := l.pop()
 		if s.tracer != nil {
 			s.tracer.OnTxStart(s.now, linkID, next.flow, next.isAck, next.wireSize)
 		}
-		s.push(event{t: s.now + l.txTimeNS(next.wireSize), kind: evTxDone, idx: linkID, pkt: next})
+		s.pushAfter(l.txTimeNS(next.wireSize), event{kind: evTxDone, idx: linkID, pkt: next.id})
 	} else {
 		l.busy = false
 	}
@@ -594,7 +596,6 @@ func (s *Simulator) handleAck(f *flowState, idx int32, ack, echo int64, ce bool)
 		if f.sndUna >= f.spec.SizeBytes {
 			f.done = true
 			f.fct = s.now - f.spec.StartNS
-			f.rtoEpoch++ // cancel timer
 			s.done++
 			if s.tracer != nil {
 				s.tracer.OnCwnd(s.now, idx, f.cwnd, f.sndUna, f.sndNxt)
@@ -625,9 +626,9 @@ func (s *Simulator) handleAck(f *flowState, idx int32, ack, echo int64, ce bool)
 }
 
 //lint:hotpath
-func (s *Simulator) timeout(idx int32, epoch uint64) {
+func (s *Simulator) timeout(idx int32, seq uint64) {
 	f := &s.flows[idx]
-	if f.done || epoch != f.rtoEpoch || f.sndNxt == f.sndUna {
+	if f.done || seq != f.rtoSeq || f.sndNxt == f.sndUna {
 		return
 	}
 	s.stats.Timeouts++
@@ -692,11 +693,10 @@ func (s *Simulator) updateRTT(f *flowState, sample int64) {
 	f.rto = max(int64(s.cfg.MinRTO), min(rto, int64(s.cfg.MaxRTO)))
 }
 
-// armRTO (re)schedules the retransmission timer: the epoch bump invalidates
-// any previously scheduled firing.
+// armRTO (re)schedules the retransmission timer: recording the new event's
+// seq invalidates any previously scheduled firing.
 func (s *Simulator) armRTO(f *flowState, idx int32) {
-	f.rtoEpoch++
-	s.push(event{t: s.now + f.rto, kind: evRTO, idx: idx, epoch: f.rtoEpoch})
+	f.rtoSeq = s.pushAfter(f.rto, event{kind: evRTO, idx: idx})
 }
 
 //lint:hotpath
@@ -708,20 +708,25 @@ func (s *Simulator) alloc() *packet {
 		p.pooled = false
 		return p
 	}
-	// Pool dry: carve the next packet out of the current block. Earlier
-	// blocks stay alive through the pointers already circulating, so growth
-	// costs one allocation per poolChunkSize packets instead of one each.
-	if s.poolNext == len(s.poolChunk) {
-		s.poolChunk = make([]packet, poolChunkSize) //lint:allow hotpath (pool refill: one allocation per 256 packets, amortized away)
-		s.poolNext = 0
+	// Pool dry: carve the next id, adding a chunk when the last one is
+	// full, so growth costs one allocation per poolChunkSize packets.
+	id := s.nPkts
+	if id%poolChunkSize == 0 {
+		s.pkts = append(s.pkts, make([]packet, poolChunkSize)) //lint:allow hotpath (packet-chunk refill: one allocation per 256 packets, amortized away)
 	}
-	p := &s.poolChunk[s.poolNext]
-	s.poolNext++
+	s.nPkts++
+	p := s.packet(id)
+	p.id = id
 	return p
 }
 
-// poolChunkSize is the packet-pool block size; 256 packets ≈ 16 KiB.
+// poolChunkSize is the packet-store chunk size; 256 packets ≈ 18 KiB.
 const poolChunkSize = 256
+
+// packet returns the packet with the given id.
+func (s *Simulator) packet(id int32) *packet {
+	return &s.pkts[id/poolChunkSize][id%poolChunkSize]
+}
 
 //lint:hotpath
 func (s *Simulator) free(p *packet) {
